@@ -21,6 +21,7 @@ pub mod block;
 pub mod cluster;
 pub mod deps;
 pub mod sweep;
+mod tables;
 pub mod units;
 
 pub use block::{Cluster, ClusterKind, UnitBlock, UnitShape};

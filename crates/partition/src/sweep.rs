@@ -47,6 +47,7 @@
 
 use crate::block::UnitShape;
 use crate::deps::{category_of, dependencies, dependencies_traced, record_graph_stats, DepGraph};
+use crate::tables::{advance, split_at, ColumnTables};
 use crate::units::Partition;
 use spfactor_interval::Interval;
 use spfactor_symbolic::SymbolicFactor;
@@ -160,20 +161,10 @@ fn default_threads() -> usize {
 /// Immutable lookup tables shared by every worker thread.
 struct SweepPlan<'a> {
     factor: &'a SymbolicFactor,
-    /// Flattened ownership segmentations: column `j`'s segments are
-    /// `seg[seg_start[j]..seg_start[j + 1]]` (ascending, disjoint).
-    seg_start: Vec<usize>,
-    seg: Vec<(Interval, u32)>,
-    /// Transpose of the strict-lower structure: row `j`'s entries are
-    /// `(k, pos)` pairs with `L(j,k)` stored, `k < j` ascending, `pos` the
-    /// index of `j` in `factor.col(k)`. Row `j`'s slice is
-    /// `row_adj[row_start[j]..row_start[j + 1]]`.
-    row_start: Vec<usize>,
-    row_adj: Vec<(u32, u32)>,
-    /// Fundamental-supernode id per column: columns of one supernode have
-    /// identical factor structure below any shared row, which lets the
-    /// walk replay a repeated source pair instead of re-sweeping it.
-    snode: Vec<u32>,
+    /// Ownership segmentations, row transpose and supernode ids; the
+    /// supernode ids let the walk replay a repeated source pair instead
+    /// of re-sweeping it.
+    tables: ColumnTables,
     /// Shape class per unit (0 = column, 1 = triangle, 2 = rectangle):
     /// classification touches this dense byte table instead of the much
     /// larger `units` array — the segment loop's hottest lookups.
@@ -215,40 +206,6 @@ fn build_cat_tables() -> ([u8; 9], [u8; 27]) {
 
 impl<'a> SweepPlan<'a> {
     fn new(factor: &'a SymbolicFactor, partition: &'a Partition) -> Self {
-        let n = factor.n();
-        let mut seg_start = Vec::with_capacity(n + 1);
-        let mut seg = Vec::new();
-        seg_start.push(0);
-        for j in 0..n {
-            partition.column_ownership(j, &mut seg);
-            seg_start.push(seg.len());
-        }
-        // Counting sort of the strict-lower entries by row: iterating
-        // columns ascending keeps each row list k-ascending.
-        let mut row_start = vec![0usize; n + 1];
-        for k in 0..n {
-            for &i in factor.col(k) {
-                row_start[i + 1] += 1;
-            }
-        }
-        for j in 0..n {
-            row_start[j + 1] += row_start[j];
-        }
-        let mut row_adj = vec![(0u32, 0u32); row_start[n]];
-        let mut cursor = row_start.clone();
-        for k in 0..n {
-            for (pos, &i) in factor.col(k).iter().enumerate() {
-                row_adj[cursor[i]] = (k as u32, pos as u32);
-                cursor[i] += 1;
-            }
-        }
-        let mut snode = vec![0u32; n];
-        for (id, sn) in spfactor_symbolic::fundamental_supernodes(factor)
-            .iter()
-            .enumerate()
-        {
-            snode[sn.clone()].fill(id as u32);
-        }
         let class = partition
             .units
             .iter()
@@ -261,23 +218,11 @@ impl<'a> SweepPlan<'a> {
         let (cat1, cat2) = build_cat_tables();
         SweepPlan {
             factor,
-            seg_start,
-            seg,
-            row_start,
-            row_adj,
-            snode,
+            tables: ColumnTables::new(factor, partition),
             class,
             cat1,
             cat2,
         }
-    }
-
-    fn col_segs(&self, j: usize) -> &[(Interval, u32)] {
-        &self.seg[self.seg_start[j]..self.seg_start[j + 1]]
-    }
-
-    fn row_pairs(&self, j: usize) -> &[(u32, u32)] {
-        &self.row_adj[self.row_start[j]..self.row_start[j + 1]]
     }
 }
 
@@ -404,7 +349,7 @@ impl SweepOut {
 /// `rows(k)[pos..]`.
 fn process_target_column(plan: &SweepPlan, j: usize, out: &mut SweepOut) {
     out.columns += 1;
-    let tsegs = plan.col_segs(j);
+    let tsegs = plan.tables.col_segs(j);
     // Scaling ops: the diagonal's unit (the first target segment always
     // contains row j) feeds every other unit holding entries of column j.
     let lower = plan.factor.col(j);
@@ -443,15 +388,15 @@ fn process_target_column(plan: &SweepPlan, j: usize, out: &mut SweepOut) {
     let mut prev_tail: &[(Interval, u32)] = &[];
     let mut prev_delta = [0usize; 10];
     let mut prev_segments = 0u64;
-    for &(k, pos) in plan.row_pairs(j) {
+    for &(k, pos) in plan.tables.row_pairs(j) {
         out.pairs += 1;
         let rows = plan.factor.col(k as usize);
-        let ssegs = plan.col_segs(k as usize);
+        let ssegs = plan.tables.col_segs(k as usize);
         // The (j, k) source element's unit is fixed for this pair.
         let mut si = ssegs.partition_point(|s| s.0.hi < j);
         debug_assert!(ssegs[si].0.contains(j));
         let s_j = ssegs[si].1;
-        let snode = plan.snode[k as usize];
+        let snode = plan.tables.snode[k as usize];
         let tail = &ssegs[si..];
         if snode == prev_snode && s_j == prev_sj && tail == prev_tail {
             for (acc, d) in out.cats.iter_mut().zip(prev_delta) {
@@ -514,37 +459,6 @@ fn process_target_column(plan: &SweepPlan, j: usize, out: &mut SweepOut) {
     }
 }
 
-/// Returns the end of the prefix of `rows[idx..end]` with values `<= hi`,
-/// as an absolute index. One compare against the slice's last row settles
-/// the dominant case — a single segment covering the whole remainder —
-/// before falling back to binary search.
-#[inline]
-fn split_at(rows: &[usize], idx: usize, end: usize, hi: usize) -> usize {
-    if rows[end - 1] <= hi {
-        end
-    } else {
-        idx + rows[idx..end].partition_point(|&r| r <= hi)
-    }
-}
-
-/// Advances `idx` to the first segment whose interval reaches row `i`
-/// (caller guarantees one exists). A few linear steps cover the dense-run
-/// common case; sparse columns inside wide segmentations — where stored
-/// rows skip dozens of segments at a time — fall through to a binary
-/// search so the advance is logarithmic, not linear, in the skip length.
-#[inline]
-fn advance(segs: &[(Interval, u32)], mut idx: usize, i: usize) -> usize {
-    let mut linear = 0;
-    while segs[idx].0.hi < i {
-        idx += 1;
-        linear += 1;
-        if linear == 4 {
-            return idx + segs[idx..].partition_point(|s| s.0.hi < i);
-        }
-    }
-    idx
-}
-
 /// Aggregated sweep work counters (the `deps.engine.*` metrics).
 struct SweepTallies {
     columns: u64,
@@ -605,10 +519,7 @@ fn sweep_impl(
         .iter()
         .map(|cl| {
             (cl.cols.lo..=cl.cols.hi)
-                .map(|j| {
-                    1 + factor.col_count(j) as u64
-                        + (plan.row_start[j + 1] - plan.row_start[j]) as u64
-                })
+                .map(|j| 1 + factor.col_count(j) as u64 + plan.tables.row_pairs(j).len() as u64)
                 .sum()
         })
         .collect();

@@ -10,9 +10,38 @@
 //! The grain size is "the minimum number of matrix elements required in
 //! each unit block"; it "dictates a maximum number of partitions Pd — a
 //! block is partitioned into at most Pd equal sized units".
+//!
+//! ## Unit work in closed form
+//!
+//! Each unit's `work` follows the paper's cost model: 2 per update pair
+//! `L(i,j) -= L(i,k)·L(j,k)` charged to the owner of the target `(i, j)`,
+//! and 1 per scaling of a strict-lower entry, charged to its owner. For a
+//! stored `L(j,k)` at position `pos` of column `k`, the pair `(k, j)`
+//! updates exactly the targets `rows(k)[pos..]` of column `j` — `c_k − pos`
+//! of them. The tally never visits an operation; it walks each target
+//! column `j` against its ownership segmentation
+//! ([`Partition::column_ownership`]):
+//!
+//! * **One segment** (every single-column cluster): one unit owns all of
+//!   column `j`, so it receives `2·Σ(c_k − pos)` over row `j`'s pairs —
+//!   `O(1)` per pair.
+//! * **Several segments** (strip columns): the pairs of row `j` are
+//!   grouped by fundamental supernode. Within a supernode
+//!   `struct(L_{k'}) = struct(L_k) \ {k+1..k'}`, and every removed row index
+//!   is at most `k' < j`, so all pairs of one group update the
+//!   *identical* tail `rows(k)[pos..]`. Each group's tail is split once
+//!   against `j`'s segments by binary search, and each piece is charged
+//!   `2 · piece length · group size`.
+//!
+//! The ownership map comes from the same walk: each column's stored rows
+//! are merged against its segments. Total cost is `O(|L|)` plus the
+//! segments touched by supernode groups in strip columns; the
+//! per-operation enumeration survives only as the test oracle
+//! [`Partition::element_work`].
 
 use crate::block::{Cluster, ClusterKind, UnitBlock, UnitShape};
-use crate::cluster::{cluster_of_column, identify_clusters};
+use crate::cluster::identify_clusters;
+use crate::tables::{advance, split_at, ColumnTables};
 use crate::PartitionParams;
 use spfactor_interval::Interval;
 use spfactor_symbolic::{ops, SymbolicFactor};
@@ -41,9 +70,8 @@ pub struct Partition {
 /// sub-rectangle units laid out row-major from `first_unit`.
 #[derive(Clone, Debug)]
 pub(crate) struct RectGrid {
-    /// The rectangle's full row extent (one maximal run of dense rows).
-    pub rows: Interval,
-    /// Row chunks, ascending and contiguous, tiling `rows`.
+    /// Row chunks, ascending and contiguous, tiling the rectangle's row
+    /// extent (one maximal run of dense rows).
     pub row_chunks: Vec<Interval>,
     /// Column chunks, ascending and contiguous, tiling the strip columns.
     pub col_chunks: Vec<Interval>,
@@ -75,6 +103,20 @@ pub(crate) enum ClusterLayout {
         /// Below-rectangle grids, in ascending row order.
         rects: Vec<RectGrid>,
     },
+}
+
+/// Cost drivers of the unit-work tally, all from strip columns with more
+/// than one ownership segment (single-segment columns cost `O(1)` per
+/// pair and are not counted).
+#[derive(Default)]
+struct UnitTally {
+    /// Row pairs `(k, j)` whose target column `j` has several segments.
+    pairs: u64,
+    /// Fundamental-supernode groups those pairs collapse into; each
+    /// group's tail is split once.
+    groups: u64,
+    /// Pieces the group tails split into against the target segments.
+    segments: u64,
 }
 
 /// Splits `extent` into `t` near-equal contiguous chunks.
@@ -127,15 +169,16 @@ impl Partition {
     /// Runs cluster identification and unit partitioning on `factor`.
     pub fn build(factor: &SymbolicFactor, params: &PartitionParams) -> Partition {
         let clusters = identify_clusters(factor, params);
-        Self::from_clusters(factor, clusters, *params)
+        Self::from_clusters(factor, clusters, *params).0
     }
 
     /// [`build`](Self::build) with instrumentation: times cluster
     /// identification (`partition.identify_clusters`) and unit layout
     /// (`partition.split_units`) separately and records the resulting
     /// shape of the partition — cluster counts by kind, unit counts by
-    /// shape, total work — as `partition.*` gauges (see
-    /// `docs/METRICS.md`).
+    /// shape, total work — as `partition.*` gauges, plus the unit-work
+    /// tally's cost drivers as the `partition.units.pairs` / `.groups` /
+    /// `.segments` counters (see `docs/METRICS.md`).
     pub fn build_traced(
         factor: &SymbolicFactor,
         params: &PartitionParams,
@@ -144,9 +187,12 @@ impl Partition {
         let clusters = recorder.time("partition.identify_clusters", || {
             identify_clusters(factor, params)
         });
-        let part = recorder.time("partition.split_units", || {
+        let (part, tally) = recorder.time("partition.split_units", || {
             Self::from_clusters(factor, clusters, *params)
         });
+        recorder.incr("partition.units.pairs", tally.pairs);
+        recorder.incr("partition.units.groups", tally.groups);
+        recorder.incr("partition.units.segments", tally.segments);
         part.record_stats(recorder);
         part
     }
@@ -195,14 +241,14 @@ impl Partition {
                 relax_zeros: 0,
             },
         )
+        .0
     }
 
     fn from_clusters(
         factor: &SymbolicFactor,
         clusters: Vec<Cluster>,
         params: PartitionParams,
-    ) -> Partition {
-        let n = factor.n();
+    ) -> (Partition, UnitTally) {
         let mut units: Vec<UnitBlock> = Vec::new();
         let mut layouts: Vec<ClusterLayout> = Vec::with_capacity(clusters.len());
 
@@ -279,7 +325,6 @@ impl Partition {
                             }
                         }
                         rects.push(RectGrid {
-                            rows: rr,
                             row_chunks,
                             col_chunks,
                             first_unit: first as u32,
@@ -295,85 +340,103 @@ impl Partition {
             }
         }
 
-        // Ownership map over all factor entries.
-        let col_cluster = cluster_of_column(&clusters, n);
-        let chunk_of = |chs: &[Interval], x: usize| -> usize {
-            // Chunks are contiguous and sorted; binary search by lo.
-            chs.partition_point(|c| c.hi < x)
-        };
-        let mut owner = vec![u32::MAX; factor.num_entries()];
-        let resolve = |i: usize, j: usize| -> u32 {
-            let cid = col_cluster[j];
-            match &layouts[cid] {
-                ClusterLayout::Single { unit } => *unit,
-                ClusterLayout::Strip {
-                    tri_chunks,
-                    tri_unit,
-                    tri_rect_unit,
-                    rects,
-                } => {
-                    let cl = &clusters[cid];
-                    if i <= cl.cols.hi {
-                        // Triangle element.
-                        let r = chunk_of(tri_chunks, i);
-                        let c = chunk_of(tri_chunks, j);
-                        debug_assert!(r >= c);
-                        if r == c {
-                            tri_unit[r]
-                        } else {
-                            tri_rect_unit[r * tri_chunks.len() + c]
-                        }
-                    } else {
-                        // Below-rectangle element: find the run holding i.
-                        let ri = rects.partition_point(|g| g.rows.hi < i);
-                        let g = &rects[ri];
-                        debug_assert!(g.rows.contains(i));
-                        let r = chunk_of(&g.row_chunks, i);
-                        let c = chunk_of(&g.col_chunks, j);
-                        g.first_unit + (r * g.col_chunks.len() + c) as u32
-                    }
-                }
-            }
-        };
-        for j in 0..n {
-            let d = factor.entry_id(j, j).expect("diagonal entry");
-            owner[d] = resolve(j, j);
-            for &i in factor.col(j) {
-                let e = factor.entry_id(i, j).expect("stored entry");
-                owner[e] = resolve(i, j);
-            }
-        }
-        debug_assert!(owner.iter().all(|&u| u != u32::MAX));
-
-        // Element counts per unit.
-        for &u in &owner {
-            units[u as usize].elements += 1;
-        }
-        // Work per unit under the paper's cost model: 2 per update pair on
-        // the target element, 1 per diagonal scaling of a strict-lower
-        // element.
-        {
-            let mut work = vec![0usize; units.len()];
-            ops::for_each_update(factor, |op| {
-                let t = owner[factor.entry_id(op.i, op.j).unwrap()];
-                work[t as usize] += 2;
-            });
-            ops::for_each_scaling(factor, |i, j| {
-                let t = owner[factor.entry_id(i, j).unwrap()];
-                work[t as usize] += 1;
-            });
-            for (u, w) in units.iter_mut().zip(work) {
-                u.work = w;
-            }
-        }
-
-        Partition {
+        let mut part = Partition {
             clusters,
             units,
             params,
-            owner,
+            owner: Vec::new(),
             layouts,
+        };
+        let tables = ColumnTables::new(factor, &part);
+        let tally = part.tally_owners_and_work(factor, &tables);
+        (part, tally)
+    }
+
+    /// Fills the ownership map and each unit's `elements` and `work` from
+    /// the column tables, in the closed form of the module doc.
+    fn tally_owners_and_work(
+        &mut self,
+        factor: &SymbolicFactor,
+        tables: &ColumnTables,
+    ) -> UnitTally {
+        let n = factor.n();
+        let mut owner = vec![0u32; factor.num_entries()];
+        let mut work = vec![0usize; self.units.len()];
+        let mut tally = UnitTally::default();
+        // Strict-lower entry ids run from n in column-major order.
+        let mut entry = n;
+        for j in 0..n {
+            let segs = tables.col_segs(j);
+            debug_assert!(segs[0].0.contains(j));
+            owner[j] = segs[0].1;
+            // Owners of the stored rows, each charged its one scaling.
+            let mut s = 0usize;
+            for &i in factor.col(j) {
+                while segs[s].0.hi < i {
+                    s += 1;
+                }
+                debug_assert!(segs[s].0.contains(i));
+                owner[entry] = segs[s].1;
+                work[segs[s].1 as usize] += 1;
+                entry += 1;
+            }
+            // Updates: pair (k, pos) targets rows(k)[pos..] of column j.
+            let pairs = tables.row_pairs(j);
+            if let [(_, unit)] = segs {
+                let targets: usize = pairs
+                    .iter()
+                    .map(|&(k, pos)| factor.col_count(k as usize) - pos as usize)
+                    .sum();
+                work[*unit as usize] += 2 * targets;
+                continue;
+            }
+            tally.pairs += pairs.len() as u64;
+            let mut g = 0usize;
+            while g < pairs.len() {
+                let (k, pos) = pairs[g];
+                let sn = tables.snode[k as usize];
+                let size = pairs[g..]
+                    .iter()
+                    .take_while(|&&(k2, _)| tables.snode[k2 as usize] == sn)
+                    .count();
+                let rows = &factor.col(k as usize)[pos as usize..];
+                debug_assert!(pairs[g..g + size]
+                    .iter()
+                    .all(|&(k2, p2)| factor.col_count(k2 as usize) - p2 as usize == rows.len()));
+                g += size;
+                tally.groups += 1;
+                let mut s = 0usize;
+                let mut idx = 0usize;
+                while idx < rows.len() {
+                    s = advance(segs, s, rows[idx]);
+                    debug_assert!(segs[s].0.contains(rows[idx]));
+                    let end = split_at(rows, idx, rows.len(), segs[s].0.hi);
+                    work[segs[s].1 as usize] += 2 * size * (end - idx);
+                    tally.segments += 1;
+                    idx = end;
+                }
+            }
         }
+        for &u in &owner {
+            self.units[u as usize].elements += 1;
+        }
+        for (u, w) in self.units.iter_mut().zip(work) {
+            u.work = w;
+        }
+        self.owner = owner;
+        tally
+    }
+
+    /// The unit-work oracle: per-unit work by direct enumeration of every
+    /// update and scaling operation ([`ops::for_each_update`],
+    /// [`ops::for_each_scaling`]), each charged to its target's owner
+    /// through [`unit_of`](Self::unit_of). `Θ(flops · log d)`; the tests
+    /// pin every unit's [`work`](UnitBlock::work) against it.
+    pub fn element_work(&self, factor: &SymbolicFactor) -> Vec<usize> {
+        let mut work = vec![0usize; self.units.len()];
+        ops::for_each_update(factor, |op| work[self.unit_of(factor, op.i, op.j)] += 2);
+        ops::for_each_scaling(factor, |i, j| work[self.unit_of(factor, i, j)] += 1);
+        work
     }
 
     /// The unit owning factor entry `(i, j)` (`i >= j`, must be a stored
@@ -725,6 +788,8 @@ mod proptests {
             let covered: usize = part.units.iter().map(|u| u.elements).sum();
             prop_assert_eq!(covered, f.num_entries());
             prop_assert_eq!(part.total_work(), f.paper_work());
+            let work: Vec<usize> = part.units.iter().map(|u| u.work).collect();
+            prop_assert_eq!(work, part.element_work(&f));
             for j in 0..f.n() {
                 for &i in f.col(j) {
                     let u = &part.units[part.unit_of(&f, i, j)];

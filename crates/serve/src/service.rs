@@ -35,7 +35,8 @@ use spfactor::mp::{FaultPlan, MpConfig, MpError};
 use spfactor::numeric::NumericFactor;
 use spfactor::sched::{ScheduleArtifact, ScheduleKey, Scheme};
 use spfactor::{
-    mp, numeric, NetworkModel, OrderEngine, Ordering, PartitionParams, Pipeline, Recorder,
+    mp, numeric, DepsEngine, NetworkModel, OrderEngine, Ordering, PartitionParams, Pipeline,
+    Recorder,
 };
 use std::collections::VecDeque;
 use std::path::PathBuf;
@@ -494,9 +495,12 @@ impl Shared {
             }
             built_here = true;
             self.cold_builds.fetch_add(1, AtomicOrdering::Relaxed);
+            // The deps engine is not in the cache key: every engine builds
+            // the bit-identical graph, so the build takes the fast one.
             let mut pipeline = Pipeline::new(request.pattern.clone())
                 .ordering(request.ordering)
                 .order_engine(request.order_engine)
+                .deps_engine(DepsEngine::Sweep)
                 .params(request.params)
                 .scheme(request.scheme)
                 .processors(request.nprocs);

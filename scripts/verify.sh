@@ -40,6 +40,10 @@ cargo test -q -p spfactor --test mp_cross_validation
 echo "==> deps equivalence smoke: sweep engines vs element oracle"
 cargo test -q -p spfactor --test deps_equivalence deps_engines_identical_on_all_paper_matrices
 
+echo "==> unit layout equivalence (release): closed-form work vs operation oracle"
+# Release mode so the 10^4-column grid runs where the fast path matters.
+cargo test --release -q -p spfactor --test unit_layout_equivalence
+
 echo "==> chaos smoke: seeded fault injection cross-validates exactly"
 cargo test -q -p spfactor --test chaos_mp chaos_smoke
 cargo test -q -p spfactor-matrix --test io_robustness
@@ -152,6 +156,9 @@ cargo run --release -q -p spfactor-bench --bin bench_regression -- \
   --baseline BENCH_pipeline.json --new "$regress_json" --report-only \
   | tail -n 2
 rm -f "$regress_json"
+
+echo "==> benchmark smoke: every BENCHMARK.json workload, traced and untraced"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> docs: every docs/*.md is linked from README.md"
 for doc in docs/*.md; do

@@ -120,6 +120,18 @@ mod enabled {
                 rec.counter_names()
             );
         }
+        // The unit-work tally's cost drivers: LAP30 at grain 4 has strip
+        // columns, whose pairs collapse into supernode groups, each split
+        // into at least one piece.
+        let (pairs, groups, segments) = (
+            rec.counter("partition.units.pairs"),
+            rec.counter("partition.units.groups"),
+            rec.counter("partition.units.segments"),
+        );
+        assert!(
+            0 < groups && groups <= pairs && groups <= segments,
+            "pairs {pairs} groups {groups} segments {segments}"
+        );
         // MMD eliminates every supervariable exactly once; there are at
         // most n of them.
         assert!(rec.counter("order.mmd.eliminations") <= result.factor.n() as u64);
@@ -593,6 +605,27 @@ mod enabled {
         );
         assert!(service.cache_stats().evictions > 0);
         assert_eq!(rec.gauge_value("serve.cache.size"), Some(2.0));
+    }
+
+    #[test]
+    fn serve_cold_builds_run_the_sweep_deps_engine() {
+        use spfactor_serve::{ServeConfig, SolveRequest, SolverService};
+
+        let rec = Arc::new(Recorder::new());
+        let service = SolverService::start(ServeConfig {
+            workers: 1,
+            recorder: Some(rec.clone()),
+            ..ServeConfig::default()
+        });
+        let request = SolveRequest::new(spfactor::matrix::gen::lap9(8, 8)).processors(4);
+        service.solve(request).unwrap();
+        assert_eq!(service.cache_stats().misses, 1);
+        assert!(
+            rec.span_stats("deps.engine.sweep").is_some(),
+            "recorded: {:?}",
+            rec.span_names()
+        );
+        assert!(rec.span_stats("partition.deps").is_none());
     }
 
     #[test]
